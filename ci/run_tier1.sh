@@ -10,6 +10,9 @@
 #   (none)      full suite + skew scheduler smokes (per-endpoint and shared)
 #   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (MPSC
 #               ring + sharded runtime + observability) under ThreadSanitizer
+#   --asan      separate tree, -DENSEMBLE_ASAN=ON: the full suite under
+#               AddressSanitizer + UndefinedBehaviorSanitizer (heap misuse,
+#               leaks, UB); any report fails the run
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
@@ -47,6 +50,10 @@ case "$LEG" in
             # Any reported race fails the run even if the tests pass.
             export TSAN_OPTIONS="halt_on_error=0 exitcode=66"
             CTEST_ARGS="-R MpscRing|ShardRuntime|GroupHarnessSharded|Obs" ;;
+  asan)     BUILD_DIR=build-asan; CMAKE_FLAGS="-DENSEMBLE_ASAN=ON"
+            BUILD_TARGET="--target ensemble_tests"
+            export ASAN_OPTIONS="detect_leaks=1 abort_on_error=1"
+            export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
   shared)   export ENSEMBLE_INGRESS=shared ;;

@@ -235,7 +235,10 @@ BypassRule FragUp() {
 // collect
 // ---------------------------------------------------------------------------
 
-BypassRule CollectDnCast() {
+// Casts down and sends both ways carry only the data header (reports and
+// stable vectors are the other kinds); the constant folds into the
+// connection id.
+BypassRule CollectData() {
   BypassRule r;
   r.ccp_desc = "true (data header only)";
   r.fields = {FieldPlan::Const(kCollectData)};
@@ -244,14 +247,9 @@ BypassRule CollectDnCast() {
 
 BypassRule CollectUpCast() {
   BypassRule r;
-  r.ccp_desc = "no stability gossip round due";
-  r.ccp = +[](const BypassCtx& ctx) {
-    auto* f = St<CollectFast>(ctx);
-    return f->since_gossip + 1 < f->interval;
-  };
+  r.ccp_desc = "true (reports go out on the timer)";
   r.update = +[](BypassCtx& ctx) {
-    MutSt<CollectFast>(ctx)->self->CountDelivered(ctx.ev->origin, ctx.ev->seq_hint,
-                                                  /*is_data=*/true);
+    MutSt<CollectFast>(ctx)->self->CountDelivered(ctx.ev->origin, ctx.ev->seq_hint);
   };
   r.fields = {FieldPlan::Const(kCollectData)};
   return r;
@@ -366,10 +364,10 @@ const bool registered = [] {
   RegisterBypassRule(LayerId::kFrag, FCase::kUpCast, FragUp());
   RegisterBypassRule(LayerId::kFrag, FCase::kUpSend, FragUp());
 
-  RegisterBypassRule(LayerId::kCollect, FCase::kDnCast, CollectDnCast());
+  RegisterBypassRule(LayerId::kCollect, FCase::kDnCast, CollectData());
   RegisterBypassRule(LayerId::kCollect, FCase::kUpCast, CollectUpCast());
-  RegisterBypassRule(LayerId::kCollect, FCase::kDnSend, Transparent());
-  RegisterBypassRule(LayerId::kCollect, FCase::kUpSend, Transparent());
+  RegisterBypassRule(LayerId::kCollect, FCase::kDnSend, CollectData());
+  RegisterBypassRule(LayerId::kCollect, FCase::kUpSend, CollectData());
 
   RegisterBypassRule(LayerId::kLocal, FCase::kDnCast, LocalDnCast());
   RegisterBypassRule(LayerId::kLocal, FCase::kUpCast, Transparent());

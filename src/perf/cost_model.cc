@@ -22,9 +22,10 @@ namespace perf {
 namespace {
 
 // The latency harness's measurement conditions: every CCP holds, no timers
-// or gossip inside the horizon.  Calibration must compile its throwaway
-// routes under the SAME params it measures under, or the composed unit count
-// would not match the measured trace (local_loopback adds a split arm).
+// or stability reports inside the horizon.  Calibration must compile its
+// throwaway routes under the SAME params it measures under, or the composed
+// unit count would not match the measured trace (local_loopback adds a split
+// arm).
 LayerParams QuietParams(LayerParams base) {
   base.local_loopback = false;
   base.mflow_window = 1u << 30;

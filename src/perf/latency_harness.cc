@@ -14,7 +14,7 @@ namespace {
 
 // Quiet parameters: the paper's measurement conditions ("the outcome of the
 // CCP checks is always the choice to run the bypass code"): no loopback, no
-// flow-control grants or stability gossip within the measured horizon.
+// flow-control grants or stability reports within the measured horizon.
 LayerParams QuietParams(LayerParams base) {
   base.local_loopback = false;
   base.mflow_window = 1u << 30;

@@ -45,7 +45,7 @@ struct LatencyConfig {
   std::vector<LayerId> layers = TenLayerStack();
   size_t msg_size = 4;
   int reps = 10000;
-  LayerParams params;  // Benches disable loopback and gossip noise below.
+  LayerParams params;  // Benches disable loopback and stability noise below.
 };
 
 // Per-message code latency averaged over `reps` send/receive rounds.

@@ -37,7 +37,7 @@ struct LayerParams {
   uint32_t suspect_max_idle = 5;     // Missed heartbeats before suspicion.
   VTime heartbeat_interval = Millis(2);
   bool local_loopback = true;        // local layer delivers own casts.
-  uint32_t stable_interval = 16;     // Casts between stability gossip rounds.
+  uint32_t stable_interval = 16;     // Casts between stability reports.
   // fifo_buggy fault-injection layer: hold back every Nth up-going cast per
   // origin and release it one delivery late (adjacent swap).  0 disables the
   // bug even when the layer is stacked.

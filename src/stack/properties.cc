@@ -22,7 +22,7 @@ const std::vector<LayerTraits>& TraitsTable() {
        kPropReliableMcast | kPropFifoMcast | kPropReliableP2P, 20},
       {LayerId::kLocal, kPropSelfDelivery, 0, 25},
       {LayerId::kStable, kPropStability, kPropStability, 28},
-      {LayerId::kCollect, kPropStability, kPropReliableMcast, 30},
+      {LayerId::kCollect, kPropStability, kPropReliableMcast | kPropReliableP2P, 30},
       {LayerId::kFrag, kPropFragmentation, kPropReliableMcast | kPropFifoMcast, 35},
       {LayerId::kPt2ptw, kPropFlowP2P, kPropReliableP2P, 40},
       {LayerId::kMflow, kPropFlowMcast, kPropReliableMcast | kPropReliableP2P, 45},

@@ -120,7 +120,7 @@ TEST(StabilityTest, GossipPrunesMnakBuffers) {
   config.n = 2;
   config.ep.layers = TenLayerStack();
   config.ep.params.local_loopback = false;
-  config.ep.params.stable_interval = 4;  // Gossip often.
+  config.ep.params.stable_interval = 4;  // Report often.
   GroupHarness g(config);
   g.StartAll();
   for (int i = 0; i < 32; i++) {

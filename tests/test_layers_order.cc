@@ -136,62 +136,142 @@ TEST(CollectTest, TracksWatermarkPerSender) {
   EXPECT_EQ(t.As<CollectLayer>().acks()[1], 2u);
 }
 
+// A stability message the layer sent down: its kind and decoded vector.
+struct CollectMsg {
+  Rank dest;
+  uint8_t kind;
+  std::vector<uint64_t> vec;
+};
+
+std::vector<CollectMsg> CollectSends(std::vector<Event> dn) {
+  std::vector<CollectMsg> msgs;
+  for (Event& ev : dn) {
+    if (ev.type != EventType::kSend) {
+      continue;
+    }
+    CollectMsg m{ev.dest, ev.hdrs.Pop<CollectHeader>(LayerId::kCollect).kind, {}};
+    WireReader r(ev.payload.Flatten());
+    m.vec.resize(r.U16());
+    for (uint64_t& v : m.vec) {
+      v = r.U64();
+    }
+    EXPECT_TRUE(r.ok());
+    msgs.push_back(std::move(m));
+  }
+  return msgs;
+}
+
+Event CollectVector(Rank origin, CollectKind kind, const std::vector<uint64_t>& vec) {
+  WireWriter w;
+  w.U16(static_cast<uint16_t>(vec.size()));
+  for (uint64_t v : vec) {
+    w.U64(v);
+  }
+  Event ev = Event::DeliverSend(origin, Iovec(w.Take()));
+  ev.hdrs.Push(LayerId::kCollect, CollectHeader{kind});
+  return ev;
+}
+
+const Event* FindStable(const std::vector<Event>& evs) {
+  for (const Event& ev : evs) {
+    if (ev.type == EventType::kStable) {
+      return &ev;
+    }
+  }
+  return nullptr;
+}
+
 TEST(CollectTest, GossipsAfterInterval) {
   LayerParams params;
   params.stable_interval = 3;
-  LayerTester t(LayerId::kCollect, 2, 0, params);
-  EXPECT_TRUE(t.Up(CollectData(1, 0)).dn.empty());
-  EXPECT_TRUE(t.Up(CollectData(1, 1)).dn.empty());
-  auto& out = t.Up(CollectData(1, 2));  // Third delivery: gossip round.
-  ASSERT_EQ(out.dn.size(), 1u);
-  EXPECT_EQ(out.dn[0].type, EventType::kCast);
-  CollectHeader hdr = out.dn[0].hdrs.Pop<CollectHeader>(LayerId::kCollect);
-  EXPECT_EQ(hdr.kind, kCollectGossip);
+  LayerTester t(LayerId::kCollect, 2, 1, params);
+  EXPECT_TRUE(t.Up(CollectData(0, 0)).dn.empty());
+  EXPECT_TRUE(t.Up(CollectData(0, 1)).dn.empty());
+  // Deliveries never send: the report waits for the timer.
+  EXPECT_TRUE(t.Up(CollectData(0, 2)).dn.empty());
+  // The tick after the third delivery, although not quiet, sends one
+  // point-to-point report of the ack vector to rank 0.
+  std::vector<CollectMsg> msgs = CollectSends(t.Dn(Event::Timer(Millis(1))).dn);
+  ASSERT_EQ(msgs.size(), 1u);
+  EXPECT_EQ(msgs[0].dest, 0);
+  EXPECT_EQ(msgs[0].kind, kCollectReport);
+  EXPECT_EQ(msgs[0].vec, (std::vector<uint64_t>{3, 0}));
+  EXPECT_EQ(t.As<CollectLayer>().reports_sent(), 1u);
+  // One delivery short of the next interval, no report is due.
+  t.Up(CollectData(0, 3));
+  EXPECT_TRUE(CollectSends(t.Dn(Event::Timer(Millis(2))).dn).empty());
 }
 
 TEST(CollectTest, AggregatesMinimumAndEmitsStable) {
   LayerParams params;
-  params.stable_interval = 100;
-  LayerTester t(LayerId::kCollect, 2, 0, params);
-  // Peer 1 claims it has received 5 of rank 0's casts and 2 of rank 1's.
-  WireWriter w;
-  w.U16(2);
-  w.U64(5);
-  w.U64(2);
-  Event gossip = Event::DeliverCast(1, Iovec(w.Take()));
-  gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
-  auto& out = t.Up(std::move(gossip));
-  // A sender's own row never constrains its own column, so rank 0's casts
-  // are stable up to 5 (the only other member has them); rank 1's column is
-  // constrained by OUR row, which is still 0.
-  const Event* stable = nullptr;
-  for (const Event& ev : out.dn) {
-    if (ev.type == EventType::kStable) {
-      stable = &ev;
-    }
-  }
+  params.stable_interval = 2;
+  LayerTester t(LayerId::kCollect, 3, 0, params);  // The coordinator.
+  // Rank 1 has 5 of rank 0's casts and 2 of rank 2's; rank 2 has not
+  // reported, so its zero row holds rank 0's column down.
+  auto& first = t.Up(CollectVector(1, kCollectReport, {5, 0, 2}));
+  EXPECT_EQ(FindStable(first.dn), nullptr);
+  // Rank 2 has 4 of rank 0's casts and 7 of rank 1's.  A sender's own row
+  // never constrains its own column, so rank 0's column is min(5, 4) = 4;
+  // rank 1's column is held at 0 by OUR row.  Only the coordinator's own
+  // column advanced: no message goes out.
+  auto& second = t.Up(CollectVector(2, kCollectReport, {4, 7, 0}));
+  const Event* stable = FindStable(second.dn);
   ASSERT_NE(stable, nullptr);
-  EXPECT_EQ(stable->vec, (std::vector<uint64_t>{5, 0}));
+  EXPECT_EQ(stable->vec, (std::vector<uint64_t>{4, 0, 0}));
+  ASSERT_NE(FindStable(second.up), nullptr);
+  EXPECT_TRUE(CollectSends(second.dn).empty());
+  // Our own vector is folded in directly on the tick after the interval:
+  // rank 1's column becomes min(2, 7) = 2, and only rank 1 is told.
+  t.Up(CollectData(1, 0));
+  t.Up(CollectData(1, 1));
+  auto& own = t.Dn(Event::Timer(Millis(1)));
+  stable = FindStable(own.dn);
+  ASSERT_NE(stable, nullptr);
+  EXPECT_EQ(stable->vec, (std::vector<uint64_t>{4, 2, 0}));
+  std::vector<CollectMsg> msgs = CollectSends(own.dn);
+  ASSERT_EQ(msgs.size(), 1u);
+  EXPECT_EQ(msgs[0].dest, 1);
+  EXPECT_EQ(msgs[0].kind, kCollectStable);
+  EXPECT_EQ(msgs[0].vec, (std::vector<uint64_t>{4, 2, 0}));
 }
 
 TEST(CollectTest, TimerGossipsPendingCounters) {
   LayerParams params;
   params.stable_interval = 100;
-  LayerTester t(LayerId::kCollect, 2, 0, params);
-  t.Up(CollectData(1));
-  auto& out = t.Dn(Event::Timer(Millis(1)));
-  bool gossiped = false;
-  for (Event& ev : out.dn) {
-    if (ev.type == EventType::kCast) {
-      gossiped = true;
-    }
-  }
-  EXPECT_TRUE(gossiped);
-  // Quiescent now: no second gossip.
-  auto& out2 = t.Dn(Event::Timer(Millis(2)));
-  for (Event& ev : out2.dn) {
-    EXPECT_NE(ev.type, EventType::kCast);
-  }
+  LayerTester t(LayerId::kCollect, 2, 1, params);
+  t.Up(CollectData(0));
+  // The tick that saw the data is not quiet: no report yet.
+  EXPECT_TRUE(CollectSends(t.Dn(Event::Timer(Millis(1))).dn).empty());
+  // The first quiet tick reports the pending vector once...
+  std::vector<CollectMsg> msgs = CollectSends(t.Dn(Event::Timer(Millis(2))).dn);
+  ASSERT_EQ(msgs.size(), 1u);
+  EXPECT_EQ(msgs[0].kind, kCollectReport);
+  EXPECT_EQ(msgs[0].vec, (std::vector<uint64_t>{1, 0}));
+  // ...and quiescence stays quiet.
+  EXPECT_TRUE(CollectSends(t.Dn(Event::Timer(Millis(3))).dn).empty());
+  EXPECT_EQ(t.As<CollectLayer>().reports_sent(), 1u);
+}
+
+TEST(CollectTest, AppliesStableVectorFromCoordinator) {
+  LayerTester t(LayerId::kCollect, 2, 1);
+  auto& out = t.Up(CollectVector(0, kCollectStable, {0, 9}));
+  const Event* dn = FindStable(out.dn);
+  ASSERT_NE(dn, nullptr);
+  EXPECT_EQ(dn->vec, (std::vector<uint64_t>{0, 9}));
+  ASSERT_NE(FindStable(out.up), nullptr);
+  EXPECT_TRUE(CollectSends(out.dn).empty());
+  // A malformed vector is dropped.
+  EXPECT_TRUE(t.Up(CollectVector(0, kCollectStable, {1})).dn.empty());
+}
+
+TEST(CollectTest, SendsCarryDataHeader) {
+  LayerTester t(LayerId::kCollect, 2, 1);
+  auto& out = t.Dn(Event::Send(0, LayerTester::Payload("s")));
+  ASSERT_EQ(out.dn.size(), 1u);
+  EXPECT_EQ(out.dn[0].hdrs.Pop<CollectHeader>(LayerId::kCollect).kind, kCollectData);
+  Event data = Event::DeliverSend(0, LayerTester::Payload("s"));
+  data.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectData});
+  EXPECT_EQ(t.Up(std::move(data)).up.size(), 1u);
 }
 
 // --------------------------------------------------------------------------

@@ -47,6 +47,20 @@ TEST(AdjacencyTest, MissingRequirementRejected) {
   EXPECT_NE(check.errors[0].find("total"), std::string::npos);
 }
 
+TEST(AdjacencyTest, CollectWithoutPt2ptRejected) {
+  // collect reports ack vectors point-to-point, so it needs reliable p2p
+  // below it as well as reliable multicast.
+  StackCheck check =
+      CheckAdjacency({LayerId::kTop, LayerId::kCollect, LayerId::kMnak, LayerId::kBottom});
+  EXPECT_FALSE(check.ok);
+  ASSERT_FALSE(check.errors.empty());
+  EXPECT_NE(check.errors[0].find("collect requires ReliableP2P"), std::string::npos)
+      << check.ToString();
+  EXPECT_TRUE(CheckAdjacency({LayerId::kTop, LayerId::kCollect, LayerId::kPt2pt,
+                              LayerId::kMnak, LayerId::kBottom})
+                  .ok);
+}
+
 TEST(AdjacencyTest, OrderInversionRejected) {
   // mnak above total is canonically inverted.
   StackCheck check = CheckAdjacency(
